@@ -55,12 +55,11 @@ class BitArrayBloomFilter:
     hashing two splitmix64 streams.
     """
 
-    __slots__ = ("_bits", "_num_bits", "_num_hashes", "_fpr", "_salt")
+    __slots__ = ("_bits", "_num_bits", "_num_hashes", "_salt")
 
     def __init__(self, keys: np.ndarray, fpr: float, salt: int = 0) -> None:
         if not 0.0 < fpr <= 1.0:
             raise ConfigError(f"fpr must be in (0, 1], got {fpr}")
-        self._fpr = float(fpr)
         self._salt = np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
         n = len(keys)
         if fpr >= 1.0 or n == 0:
@@ -75,11 +74,6 @@ class BitArrayBloomFilter:
         self._num_hashes = optimal_num_hashes(bits_per_key)
         self._bits = np.zeros(num_bits, dtype=bool)
         self._insert(np.asarray(keys, dtype=np.int64))
-
-    @property
-    def design_fpr(self) -> float:
-        """The false-positive rate this filter was sized for."""
-        return self._fpr
 
     @property
     def num_bits(self) -> int:
@@ -158,10 +152,6 @@ class AnalyticalBloomFilter:
             self._num_bits = int(
                 math.ceil(-len(sorted_keys) * math.log(fpr) / (_LN2 * _LN2))
             )
-
-    @property
-    def design_fpr(self) -> float:
-        return self._fpr
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         if len(self._sorted_keys) == 0:

@@ -643,6 +643,21 @@ class Lerp(Tuner):
         if self._policy_agent is not None:
             self._policy_agent.reset_exploration()
 
+    def _all_agents(self) -> List[AgentType]:
+        """Per-level agents, then the joint and policy agents if built."""
+        extra = [
+            agent
+            for agent in (self._joint_agent, self._policy_agent)
+            if agent is not None
+        ]
+        return list(self._agents.values()) + extra
+
+    @property
+    def updates_done(self) -> int:
+        """Gradient steps taken so far by every agent this tuner owns (the
+        denominator of the per-update wall cost in the fig13 report)."""
+        return sum(agent.updates_done for agent in self._all_agents())
+
     def reset(self) -> None:
         """Full reset (drops all learned networks)."""
         self._agents.clear()
@@ -828,12 +843,7 @@ class Lerp(Tuner):
         self._restart(reason="warm_start")
         self.restarts = 0
         self.detector.reset()
-        extra = [
-            agent
-            for agent in (self._joint_agent, self._policy_agent)
-            if agent is not None
-        ]
-        for agent in list(self._agents.values()) + extra:
+        for agent in self._all_agents():
             if isinstance(agent, DDPGAgent):
                 agent.reset_exploration(
                     agent.config.noise_sigma * exploration_scale

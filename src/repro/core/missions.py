@@ -31,8 +31,6 @@ class MissionRunner:
         if chunk_size < 1:
             raise WorkloadError(f"chunk_size must be >= 1, got {chunk_size}")
         self.engine = engine
-        #: Legacy alias — the engine of the original runner was always a tree.
-        self.tree = engine
         self.chunk_size = chunk_size
 
     def run(self, mission: Mission) -> MissionStats:

@@ -175,13 +175,13 @@ class DDPGAgent:
         self.actor.zero_grad()
         policy_actions = self.actor.forward(states)
         critic_in = np.concatenate([states, policy_actions], axis=1)
-        self.critic.zero_grad()  # scratch use of critic; discard its grads
+        # The critic is only a differentiable function of its input here:
+        # back-propagate to the input and leave its parameter grads alone.
         self.critic.forward(critic_in)
-        grad_in = self.critic.backward(np.full((cfg.batch_size, 1), 1.0))
+        grad_in = self.critic.backward_input(np.full((cfg.batch_size, 1), 1.0))
         grad_action = grad_in[:, cfg.state_dim :]
         # Maximize Q  <=>  descend along -dQ/da, averaged over the batch.
         self.actor.backward(-grad_action / cfg.batch_size)
-        self.critic.zero_grad()
         self.actor_opt.step()
 
         # --- target tracking ----------------------------------------------

@@ -8,6 +8,16 @@ building blocks on numpy: linear layers, ReLU/Tanh activations, an
 to its *input* (the latter is what DDPG's actor update needs: ∂Q/∂a flows
 through the critic's input into the actor).
 
+Each :class:`MLP` keeps all of its parameters in one contiguous float64
+*arena* and all of its gradients in a second one laid out the same way;
+every layer's ``weight``/``bias``/``grad_*`` is a view into them. Whole-
+network operations (zeroing gradients, target-network copies, Polyak
+averaging and the optimizer steps in :mod:`repro.rl.optim`) are therefore
+one array op each instead of a loop over tensors. The networks here are
+tiny (8→32→32→1 by default), so numpy's per-call overhead, not
+arithmetic, is what these fused passes save; the elementwise arithmetic is
+exactly that of the per-tensor form.
+
 All arrays are float64, batch-first (``x.shape == (batch, features)``).
 """
 
@@ -29,6 +39,11 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. this layer's input; accumulates parameter grads."""
         raise NotImplementedError
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. this layer's input only; parameter grads are left
+        untouched. Layers without parameters need not override it."""
+        return self.backward(grad_out)
 
     def params(self) -> List[np.ndarray]:
         return []
@@ -55,11 +70,32 @@ class Linear(Layer):
         return x @ self.weight + self.bias
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RLError("backward called before forward")
+        grad_in = self.backward_input(grad_out)
         self.grad_weight += self._x.T @ grad_out
         self.grad_bias += grad_out.sum(axis=0)
+        return grad_in
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._x is None:
+            raise RLError("backward called before forward")
         return grad_out @ self.weight.T
+
+    def move_into(
+        self, param_arena: np.ndarray, grad_arena: np.ndarray, offset: int
+    ) -> int:
+        """Rebind ``weight``/``bias`` (values kept) and their gradients as
+        views of the two arenas starting at ``offset``; returns the offset
+        just past this layer."""
+        mid = offset + self.weight.size
+        end = mid + self.bias.size
+        shape = self.weight.shape
+        param_arena[offset:mid] = self.weight.ravel()
+        param_arena[mid:end] = self.bias
+        self.weight = param_arena[offset:mid].reshape(shape)
+        self.bias = param_arena[mid:end]
+        self.grad_weight = grad_arena[offset:mid].reshape(shape)
+        self.grad_bias = grad_arena[mid:end]
+        return end
 
     def params(self) -> List[np.ndarray]:
         return [self.weight, self.bias]
@@ -69,19 +105,27 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
-    """Rectified linear activation."""
+    """Rectified linear activation.
+
+    ``np.maximum(x, 0.0)`` and the textbook ``np.where(x > 0, x, 0.0)``
+    agree bit-for-bit on every finite input, signed zeros included; they
+    differ only on NaN (``maximum`` propagates it, ``where`` maps it to 0),
+    and a NaN activation already means the network has diverged. The
+    backward mask is taken from the output: ``y > 0`` exactly where
+    ``x > 0``.
+    """
 
     def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
+        self._y: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._y = np.maximum(x, 0.0)
+        return self._y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._y is None:
             raise RLError("backward called before forward")
-        return grad_out * self._mask
+        return grad_out * (self._y > 0)
 
 
 class Tanh(Layer):
@@ -110,7 +154,13 @@ class MLP:
 
     # layers holds the parameter arrays reached through params(), which
     # state_dict copies in order; in_dim/out_dim are fixed architecture.
-    _snapshot_exempt = frozenset({"layers", "in_dim", "out_dim"})
+    # param_arena/grad_arena are the memory those params()/grads() views
+    # alias (so already serialized through params(); gradients are never
+    # state); _shapes is fixed architecture; _scratch is per-call workspace.
+    _snapshot_exempt = frozenset({
+        "layers", "in_dim", "out_dim",
+        "param_arena", "grad_arena", "_shapes", "_scratch",
+    })
 
     def __init__(
         self,
@@ -133,6 +183,17 @@ class MLP:
             raise RLError(f"unknown output activation: {output_activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
+        # Layers draw their initial values above (the RNG order is part of
+        # reproducibility); then they move into the arenas.
+        self._shapes = tuple(p.shape for p in self.params())
+        total = sum(p.size for p in self.params())
+        self.param_arena = np.empty(total)
+        self.grad_arena = np.zeros(total)
+        self._scratch = np.empty(total)
+        offset = 0
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                offset = layer.move_into(self.param_arena, self.grad_arena, offset)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -156,6 +217,15 @@ class MLP:
             grad = layer.backward(grad)
         return grad
 
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """dL/dx for the most recent :meth:`forward`, like :meth:`backward`
+        but accumulating no parameter gradients (DDPG's actor update uses
+        the critic only as a differentiable function of its input)."""
+        grad = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+        for layer in reversed(self.layers):
+            grad = layer.backward_input(grad)
+        return grad
+
     def params(self) -> List[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -163,29 +233,29 @@ class MLP:
         return [g for layer in self.layers for g in layer.grads()]
 
     def zero_grad(self) -> None:
-        for grad in self.grads():
-            grad.fill(0.0)
+        self.grad_arena.fill(0.0)
 
     # ------------------------------------------------------------------
     # Parameter vector utilities (target networks, tests)
     # ------------------------------------------------------------------
     def copy_params_from(self, other: "MLP") -> None:
         """Hard copy of every parameter from ``other`` (same architecture)."""
-        for mine, theirs in zip(self.params(), other.params()):
-            if mine.shape != theirs.shape:
-                raise RLError("cannot copy params between different shapes")
-            mine[...] = theirs
+        if self._shapes != other._shapes:
+            raise RLError("cannot copy params between different shapes")
+        self.param_arena[...] = other.param_arena
 
     def soft_update_from(self, other: "MLP", tau: float) -> None:
         """Polyak averaging: ``θ ← τ·θ_other + (1-τ)·θ`` (DDPG targets)."""
         if not 0.0 <= tau <= 1.0:
             raise RLError(f"tau must be in [0, 1], got {tau}")
-        for mine, theirs in zip(self.params(), other.params()):
-            mine *= 1.0 - tau
-            mine += tau * theirs
+        if self._shapes != other._shapes:
+            raise RLError("cannot average params between different shapes")
+        np.multiply(other.param_arena, tau, out=self._scratch)
+        self.param_arena *= 1.0 - tau
+        self.param_arena += self._scratch
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.params())
+        return self.param_arena.size
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
@@ -195,8 +265,9 @@ class MLP:
         return [p.copy() for p in self.params()]
 
     def load_state_dict(self, state: Sequence[np.ndarray]) -> None:
-        """Restore parameters *in place* (optimizers hold references to the
-        live arrays, so they must not be replaced). Gradients are zeroed."""
+        """Restore parameters *in place*: every layer's arrays are views of
+        the arena, which optimizers step directly, so the arena is written
+        and never replaced. Gradients are zeroed."""
         params = self.params()
         if len(state) != len(params):
             raise RLError(
